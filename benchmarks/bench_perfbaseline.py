@@ -14,7 +14,9 @@ Assertions:
   serial (skipped on single-core boxes, where a process pool cannot
   beat the loop);
 * warm cache passes are at least as fast as cold passes by a large
-  factor (the memos actually memoize).
+  factor (the memos actually memoize);
+* a sweep under the executor's serial cutoff costs the same at
+  ``jobs=4`` as serially (no pool is paid for).
 
 Run with::
 
@@ -152,6 +154,51 @@ def test_sweep_grids_parallel_identical_and_timed(perf_record, report):
             f"jobs={JOBS} ({total_parallel:.3f}s) not faster than serial "
             f"({total_serial:.3f}s) on a {_CORES}-core runner"
         )
+
+
+def test_small_sweep_parallel_matches_serial(report):
+    """jobs=4 on a sub-cutoff sweep costs the same as serial.
+
+    ``design_search(12, ...)`` enumerates 21 candidates — under the
+    32-task cutoff — so the executor must run it in-process for any
+    ``jobs`` value rather than paying pool startup it cannot amortize
+    (the original ``designsearch_parallel_s > designsearch_serial_s``
+    bug).
+    """
+
+    def key(cands):
+        return [
+            (c.machine.midplane_dims, c.bandwidths,
+             c.dominated_baseline, c.wins)
+            for c in cands
+        ]
+
+    clear_all_caches()
+    design_search(12, JUQUEEN, jobs=1)  # warm memos: compare dispatch
+    serial_s = parallel_s = float("inf")
+    for _ in range(3):
+        serial, t = _timed(lambda: design_search(12, JUQUEEN, jobs=1))
+        serial_s = min(serial_s, t)
+        parallel, t = _timed(lambda: design_search(12, JUQUEEN, jobs=4))
+        parallel_s = min(parallel_s, t)
+    assert key(parallel) == key(serial)
+
+    report(render_table(
+        [{
+            "grid": "design_search(12) — 21 candidates",
+            "serial_s": f"{serial_s:.4f}",
+            "jobs=4_s": f"{parallel_s:.4f}",
+            "identical": "yes",
+        }],
+        ["grid", "serial_s", "jobs=4_s", "identical"],
+        title="Small-sweep crossover: jobs=4 must not pay for a pool",
+    ))
+
+    # Within 10% plus absolute slack for scheduler jitter on tiny runs.
+    assert parallel_s <= serial_s * 1.10 + 0.05, (
+        f"jobs=4 took {parallel_s:.4f}s vs serial {serial_s:.4f}s on a "
+        f"sub-cutoff sweep: the executor paid for a pool it cannot use"
+    )
 
 
 def test_geometry_memo_hot_path(perf_record, report):

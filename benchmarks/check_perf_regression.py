@@ -21,7 +21,7 @@ Three metric families are guarded, told apart by suffix:
     ``baseline / MAX_REGRESSION_FACTOR``.
 ``*_speedup``
     Dimensionless higher-is-better ratios (``pairing_vector_speedup``,
-    ``sweep_shm_speedup``): guarded like rates — a drop below
+    ``simmpi_engine_speedup``): guarded like rates — a drop below
     ``baseline / MAX_REGRESSION_FACTOR`` fails.
 
 Anything else (``*_pct``, ``*_rate``, metadata) is skipped: other

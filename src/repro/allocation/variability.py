@@ -151,7 +151,6 @@ def simulate_job_streams(
     seed: int = 0,
     jobs: int | None = 1,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[VariabilityReport]:
     """One :func:`simulate_job_stream` per selection rule, optionally in
     parallel.
@@ -160,9 +159,7 @@ def simulate_job_streams(
     serial loop over :func:`simulate_job_stream` would do), so the
     reports are bit-identical to the serial path regardless of *jobs*.
     *checkpoint* (a JSONL path) journals completed rule streams and
-    resumes a killed sweep from them (see :mod:`repro.resilience`);
-    *transport* selects the worker payload path (see
-    :mod:`repro.sharedmem`).
+    resumes a killed sweep from them (see :mod:`repro.resilience`).
     """
     with observability.span(
         "experiment.variability", rules=len(selections)
@@ -172,5 +169,4 @@ def simulate_job_streams(
             [(policy, job, num_jobs, rule, seed) for rule in selections],
             jobs=jobs,
             checkpoint=checkpoint,
-            transport=transport,
         )

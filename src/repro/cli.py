@@ -74,15 +74,6 @@ def _add_checkpoint_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_transport_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--transport", choices=["auto", "shm", "pickle"], default=None,
-        help="how parallel sweep blocks move to workers: 'shm' forces "
-        "zero-copy shared memory, 'pickle' forces per-chunk pickling, "
-        "'auto' (default) picks shm when supported (same as REPRO_SHM)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -121,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_flag(p)
     _add_checkpoint_flag(p)
-    _add_transport_flag(p)
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("number", type=int, choices=range(1, 8))
@@ -142,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_flag(p)
     _add_checkpoint_flag(p)
-    _add_transport_flag(p)
 
     p = sub.add_parser(
         "variability",
@@ -162,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_flag(p)
     _add_checkpoint_flag(p)
-    _add_transport_flag(p)
 
     p = sub.add_parser(
         "faults",
@@ -197,12 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_flag(p)
     _add_checkpoint_flag(p)
-    _add_transport_flag(p)
 
     p = sub.add_parser(
         "lint",
         help="run the reprolint static-analysis pass "
-        "(determinism, float-discipline, shm contracts)",
+        "(determinism, float-discipline, checkpoint contracts)",
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
@@ -345,14 +332,13 @@ def _cmd_pairing(
     sweep: str | None,
     jobs: int,
     checkpoint: str | None = None,
-    transport: str | None = None,
 ) -> int:
     from .allocation.geometry import PartitionGeometry
     from .experiments.pairing import PairingParameters, run_pairing
 
     params = PairingParameters(rounds=rounds)
     if sweep is not None:
-        return _cmd_pairing_sweep(sweep, params, jobs, checkpoint, transport)
+        return _cmd_pairing_sweep(sweep, params, jobs, checkpoint)
     if not dims:
         raise ValueError(
             "pairing needs a geometry (midplane dims) or --sweep MACHINE"
@@ -368,7 +354,6 @@ def _cmd_pairing(
 
 def _cmd_pairing_sweep(
     machine_name: str, params, jobs: int, checkpoint: str | None = None,
-    transport: str | None = None,
 ) -> int:
     from .allocation.optimizer import best_worst_table
     from .analysis.report import render_table
@@ -382,8 +367,7 @@ def _cmd_pairing_sweep(
         geometries.append(r.current)
         geometries.append(r.proposed)
     results = run_pairing_sweep(
-        geometries, params, jobs=jobs, checkpoint=checkpoint,
-        transport=transport,
+        geometries, params, jobs=jobs, checkpoint=checkpoint
     )
     rows = []
     for r, worst_res, best_res in zip(
@@ -486,7 +470,6 @@ def _cmd_faults(
     jobs: int,
     fluid_sweep: bool = False,
     checkpoint: str | None = None,
-    transport: str | None = None,
 ) -> int:
     from .analysis.report import render_table
     from .experiments.faultstudy import (
@@ -501,8 +484,7 @@ def _cmd_faults(
     optimal = best_geometry_for_machine(machine, size)
     if fluid_sweep:
         return _cmd_faults_fluid(
-            machine, optimal, max_failures, trials, seed, jobs, checkpoint,
-            transport,
+            machine, optimal, max_failures, trials, seed, jobs, checkpoint
         )
     rows = [
         {
@@ -517,7 +499,6 @@ def _cmd_faults(
         for r in degraded_bisection_study(
             machine, size, max_failures=max_failures, trials=trials,
             seed=seed, jobs=jobs, checkpoint=checkpoint,
-            transport=transport,
         )
     ]
     print(render_table(
@@ -535,14 +516,14 @@ def _cmd_faults(
 
 def _cmd_faults_fluid(
     machine, geometry, max_failures: int, trials: int, seed: int,
-    jobs: int, checkpoint: str | None, transport: str | None = None,
+    jobs: int, checkpoint: str | None,
 ) -> int:
     from .analysis.report import render_table
     from .experiments.faultstudy import fluid_fault_sweep
 
     results = fluid_fault_sweep(
         geometry, max_failures=max_failures, trials=trials, seed=seed,
-        jobs=jobs, checkpoint=checkpoint, transport=transport,
+        jobs=jobs, checkpoint=checkpoint,
     )
     rows = []
     degraded_count = 0
@@ -582,7 +563,7 @@ def _cmd_faults_fluid(
 
 def _cmd_design_search(
     baseline: str, max_midplanes: int, top: int, jobs: int,
-    checkpoint: str | None = None, transport: str | None = None,
+    checkpoint: str | None = None,
 ) -> int:
     from .analysis.report import render_table
     from .experiments.designsearch import design_search
@@ -591,7 +572,6 @@ def _cmd_design_search(
     machine = get_machine(baseline)
     search = design_search(
         max_midplanes, machine, jobs=jobs, checkpoint=checkpoint,
-        transport=transport,
     )
     rows = [
         {
@@ -621,7 +601,6 @@ def _cmd_variability(
     seed: int,
     jobs: int,
     checkpoint: str | None = None,
-    transport: str | None = None,
 ) -> int:
     from .allocation.advisor import JobRequest
     from .allocation.policy import FreeCuboidPolicy
@@ -638,7 +617,7 @@ def _cmd_variability(
     )
     reports = simulate_job_streams(
         policy, job, num_jobs, SELECTION_RULES, seed=seed, jobs=jobs,
-        checkpoint=checkpoint, transport=transport,
+        checkpoint=checkpoint,
     )
     rows = [
         {
@@ -794,7 +773,7 @@ def _dispatch(args, trace_path, observability) -> int:
             code = _cmd_geometry(args.dims)
         elif args.command == "pairing":
             code = _cmd_pairing(args.dims, args.rounds, args.sweep,
-                                args.jobs, args.checkpoint, args.transport)
+                                args.jobs, args.checkpoint)
         elif args.command == "table":
             code = _cmd_table(args.number)
         elif args.command == "figure":
@@ -803,18 +782,16 @@ def _dispatch(args, trace_path, observability) -> int:
             code = _cmd_faults(
                 args.machine, args.size, args.max_failures, args.trials,
                 args.seed, args.jobs, args.fluid_sweep, args.checkpoint,
-                args.transport,
             )
         elif args.command == "design-search":
             code = _cmd_design_search(
                 args.baseline, args.max_midplanes, args.top, args.jobs,
-                args.checkpoint, args.transport,
+                args.checkpoint,
             )
         elif args.command == "variability":
             code = _cmd_variability(
                 args.machine, args.size, args.num_jobs, args.fraction,
                 args.runtime, args.seed, args.jobs, args.checkpoint,
-                args.transport,
             )
         elif args.command == "lint":
             code = _cmd_lint(

@@ -190,11 +190,6 @@ register(
     "oracle router end-to-end (repro.netsim.batchroute).",
 )
 register(
-    "REPRO_SHM", "flag", True,
-    "Zero-copy shared-memory sweep transport; REPRO_SHM=0 forces the "
-    "classic pickle pipe (repro.sharedmem).",
-)
-register(
     "REPRO_CHECK", "flag", False,
     "Runtime contract sanitizer: REPRO_CHECK=1 turns on NaN/inf, "
     "shape, dtype, and contiguity checks at PathMatrix/"

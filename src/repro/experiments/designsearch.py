@@ -106,7 +106,6 @@ def _score_candidate_block(
 register_block_runner(
     _score_candidate,
     _score_candidate_block,
-    min_block_tasks=2,
     max_block_tasks=64,
 )
 
@@ -119,7 +118,6 @@ def design_search(
     jobs: int | None = 1,
     fluid_check_top: int = 0,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[DesignCandidate]:
     """Enumerate and rank machine geometries against a baseline.
 
@@ -150,10 +148,6 @@ def design_search(
         Optional JSONL path: completed candidate scores are journaled
         and a killed search resumes from them (see
         :mod:`repro.resilience`).
-    transport:
-        How parallel blocks move to workers — ``"auto"`` (default),
-        ``"shm"`` (zero-copy shared memory), or ``"pickle"``; see
-        :mod:`repro.sharedmem`.
 
     Returns
     -------
@@ -195,7 +189,6 @@ def design_search(
             [(dims, size_key) for dims in shapes],
             jobs=jobs,
             checkpoint=checkpoint,
-            transport=transport,
         )
 
     candidates: list[DesignCandidate] = []

@@ -393,7 +393,6 @@ def _fluid_scenario_block(
 register_block_runner(
     _fluid_scenario,
     _fluid_scenario_block,
-    min_block_tasks=2,
     max_block_tasks=256,
 )
 
@@ -407,7 +406,6 @@ def fluid_fault_sweep(
     checkpoint=None,
     link_bandwidth: float = LINK_BANDWIDTH_GB_PER_S,
     tie: str = "parity",
-    transport: str | None = None,
 ) -> list[FaultScenarioRow]:
     """Flow-level fault scenarios on one geometry, degraded not aborted.
 
@@ -424,8 +422,7 @@ def fluid_fault_sweep(
     with the same pairing of seeds as :func:`degraded_bisection_study`
     (``seed + 1000·k + t``), so rows are bit-identical across ``jobs``;
     *checkpoint* (a JSONL path) enables resumable execution via
-    :mod:`repro.resilience`; *transport* selects the worker payload
-    path (``"auto"``/``"shm"``/``"pickle"``, see :mod:`repro.sharedmem`).
+    :mod:`repro.resilience`.
     """
     check_nonnegative_int(max_failures, "max_failures")
     check_positive_int(trials, "trials")
@@ -439,8 +436,7 @@ def fluid_fault_sweep(
         "experiment.faultstudy.fluid", scenarios=len(tasks)
     ):
         rows = sweep_map(
-            _fluid_scenario, tasks, jobs=jobs, checkpoint=checkpoint,
-            transport=transport,
+            _fluid_scenario, tasks, jobs=jobs, checkpoint=checkpoint
         )
     if observability.OBS.enabled:
         observability.counter_add(
@@ -459,7 +455,6 @@ def degraded_bisection_study(
     jobs: int | None = 1,
     fluid_check: bool = False,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[DegradedBisectionRow]:
     """Default-vs-optimal bisection under ``k = 0..max_failures`` failures.
 
@@ -481,8 +476,7 @@ def degraded_bisection_study(
     :class:`RuntimeError` is raised.  The rows themselves are unchanged.
 
     *checkpoint* (a JSONL path) journals completed trials and resumes a
-    killed run from them (see :mod:`repro.resilience`); *transport*
-    selects the worker payload path (see :mod:`repro.sharedmem`).
+    killed run from them (see :mod:`repro.resilience`).
     """
     check_positive_int(num_midplanes, "num_midplanes")
     check_nonnegative_int(max_failures, "max_failures")
@@ -500,8 +494,7 @@ def degraded_bisection_study(
         "experiment.faultstudy", trials=len(tasks)
     ):
         results = sweep_map(
-            _paired_trial, tasks, jobs=jobs, checkpoint=checkpoint,
-            transport=transport,
+            _paired_trial, tasks, jobs=jobs, checkpoint=checkpoint
         )
 
     if fluid_check:

@@ -264,7 +264,6 @@ def _pairing_block(
 register_block_runner(
     _pairing_task,
     _pairing_block,
-    min_block_tasks=2,
     max_block_tasks=64,
 )
 
@@ -274,7 +273,6 @@ def run_pairing_sweep(
     params: PairingParameters | None = None,
     jobs: int | None = 1,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[PairingResult]:
     """Run the pairing benchmark over many geometries.
 
@@ -285,8 +283,6 @@ def run_pairing_sweep(
     back in *geometries* order and are bit-identical to the serial path.
     *checkpoint* (a JSONL path) journals completed geometries and
     resumes a killed sweep from them (see :mod:`repro.resilience`).
-    *transport* selects how parallel blocks move to workers
-    (``"auto"``/``"shm"``/``"pickle"``, see :mod:`repro.sharedmem`).
     """
     if params is None:
         params = PairingParameters()
@@ -298,5 +294,4 @@ def run_pairing_sweep(
             [(g, params) for g in geometries],
             jobs=jobs,
             checkpoint=checkpoint,
-            transport=transport,
         )

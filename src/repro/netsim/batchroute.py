@@ -181,41 +181,6 @@ class PathMatrix:
         return pm
 
     # ------------------------------------------------------------------ #
-    # Shared-memory codec                                                  #
-    # ------------------------------------------------------------------ #
-
-    def to_shared(self, pool) -> dict:
-        """Descriptor handles for zero-copy transport.
-
-        Places the CSR planes into *pool* (a
-        :class:`repro.sharedmem.SharedArrayPool`) and returns the
-        small ``{slot: ArrayDescriptor}`` mapping that crosses the
-        worker pipe instead of the arrays themselves.
-        """
-        return {
-            "link_ids": pool.put_array(self._link_ids),
-            "offsets": pool.put_array(self._offsets),
-        }
-
-    @classmethod
-    def from_shared(cls, handles: dict) -> "PathMatrix":
-        """Rebuild from :meth:`to_shared` handles as read-only views.
-
-        Zero-copy: the arrays are attached straight out of the shared
-        segments, and the constructor's validation is skipped — the
-        handles came from an already-validated instance.  The views
-        are only valid while the producing pool's segments live (the
-        sweep dispatch that created them).
-        """
-        from ..sharedmem import attach_array
-
-        pm = cls.__new__(cls)
-        pm._link_ids = attach_array(handles["link_ids"])
-        pm._offsets = attach_array(handles["offsets"])
-        pm._flow_ids = None
-        return pm
-
-    # ------------------------------------------------------------------ #
     # Structure                                                            #
     # ------------------------------------------------------------------ #
 
@@ -277,13 +242,6 @@ class PathMatrix:
         return (
             f"PathMatrix(flows={len(self)}, links={self.total_links})"
         )
-
-
-# Shared-memory sweeps reduce PathMatrix to its descriptor handles
-# instead of pickling the CSR bytes (see repro.sharedmem).
-from ..sharedmem import register_shared_codec  # noqa: E402
-
-register_shared_codec(PathMatrix)
 
 
 @dataclass(frozen=True)

@@ -305,53 +305,6 @@ class StackedPathMatrix:
                    active=act)
 
     # ------------------------------------------------------------------ #
-    # Shared-memory codec                                                  #
-    # ------------------------------------------------------------------ #
-
-    def to_shared(self, pool) -> dict:
-        """Descriptor handles for zero-copy transport.
-
-        Every plane — CSR, scenario bases, capacity/fault planes, the
-        active mask, and the derived flow→scenario map — goes into
-        *pool* (a :class:`repro.sharedmem.SharedArrayPool`); what
-        crosses the worker pipe is this small descriptor mapping.
-        """
-        return {
-            "link_ids": pool.put_array(self._link_ids),
-            "offsets": pool.put_array(self._offsets),
-            "flow_base": pool.put_array(self._flow_base),
-            "link_base": pool.put_array(self._link_base),
-            "capacities": pool.put_array(self._capacities),
-            "active": pool.put_array(self._active),
-            "flow_scenarios": pool.put_array(self._flow_scenarios),
-        }
-
-    @classmethod
-    def from_shared(cls, handles: dict) -> "StackedPathMatrix":
-        """Rebuild from :meth:`to_shared` handles as read-only views.
-
-        Zero-copy and validation-free: the O(entries) link-region check
-        of ``__init__`` already ran on the producing side, and the
-        attached views are immutable, so re-checking per worker would
-        only re-buy the copy cost the transport exists to avoid.  Views
-        are valid while the producing pool's segments live.
-        """
-        from ..sharedmem import attach_array
-
-        spm = cls.__new__(cls)
-        for slot in (
-            "link_ids",
-            "offsets",
-            "flow_base",
-            "link_base",
-            "capacities",
-            "active",
-            "flow_scenarios",
-        ):
-            setattr(spm, f"_{slot}", attach_array(handles[slot]))
-        return spm
-
-    # ------------------------------------------------------------------ #
     # Structure                                                            #
     # ------------------------------------------------------------------ #
 
@@ -449,10 +402,3 @@ class StackedPathMatrix:
             f"StackedPathMatrix(scenarios={self.num_scenarios}, "
             f"flows={self.num_flows}, links={self.num_links})"
         )
-
-
-# Shared-memory sweeps reduce StackedPathMatrix to its descriptor
-# handles instead of pickling the stacked planes (see repro.sharedmem).
-from ..sharedmem import register_shared_codec  # noqa: E402
-
-register_shared_codec(StackedPathMatrix)

@@ -1,21 +1,29 @@
-"""Deterministic process-pool sweep executor.
+"""Deterministic sweep executor.
 
 Every sweep-shaped experiment in this repository — pairing curves,
 fault-study grids, design searches, variability streams — evaluates a
 pure task function over a fixed grid of (geometry, seed) points.  This
-module runs such grids across worker processes while keeping the
-results **bit-identical** to the serial path:
+module runs such grids through **one executor** while keeping the
+results **bit-identical** to ``[fn(t) for t in tasks]``:
 
 * tasks are enumerated once, up front, in a deterministic order;
 * randomness is injected only through explicit per-task seeds (see
   :func:`split_seeds`) derived from the caller's base seed, never from
   worker identity, scheduling order, or wall-clock;
-* results are collected **in task order** regardless of completion
-  order (``ProcessPoolExecutor.map`` semantics);
+* the sweep is cut into contiguous **blocks**, run on one serial loop
+  (:func:`_run_serial`) or one process-pool loop (:func:`_run_pool`),
+  and harvested **in task order** whatever the completion order;
 * ``jobs=1`` — and any environment where a process pool cannot be
-  created (restricted sandboxes, missing ``/dev/shm``, recursive
-  pools) — falls back to a plain in-process loop over the same
-  function, so parallelism is an optimization, never a semantic.
+  created (restricted sandboxes, recursive pools) — runs the same
+  blocks in-process, so parallelism is an optimization, never a
+  semantic.
+
+A block runs through the task function's registered *block form*
+(:func:`register_block_runner`) when it has one, else through the
+per-task body ``[fn(t) for t in chunk]``, which stays the oracle.
+Retries, backoff, timeouts, quarantine and checkpoint/resume are
+:class:`repro.resilience.ResiliencePolicy` and
+:class:`repro.resilience.SweepCheckpoint` settings on the same loops.
 
 Task functions must be module-level callables and their arguments and
 results picklable; the experiment drivers keep their workers at module
@@ -24,6 +32,7 @@ scope for exactly this reason.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import warnings
@@ -33,8 +42,17 @@ from typing import Any, TypeVar
 
 import numpy as np
 
-from . import env, observability, sharedmem
+from . import env, observability
 from ._validation import check_nonnegative_int, check_positive_int
+from .resilience import (
+    ResiliencePolicy,
+    SweepCheckpoint,
+    TaskFailure,
+    _fn_name,
+    _maybe_test_kill,
+    _short_repr,
+    task_key,
+)
 
 __all__ = [
     "sweep_map",
@@ -107,58 +125,15 @@ def split_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(child.generate_state(1)[0]) for child in ss.spawn(n))
 
 
-def _serial_map(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:
-    return [fn(t) for t in tasks]
-
-
-def _serial_fallback(
-    fn: Callable[[_T], _R], tasks: Sequence[_T]
-) -> list[_R]:
-    """Serial execution of a sweep that *requested* parallelism.
-
-    Used when the effective worker count resolves to one (single-CPU
-    host) or no process pool can be created.  Keeps the observability
-    contract of the pool path — the ``parallel.sweep`` span and task
-    counters still appear, with ``workers=1`` — so traces show the
-    sweep regardless of where it ran.
-    """
-    with observability.span(
-        "parallel.sweep", tasks=len(tasks), workers=1
-    ):
-        results = _serial_map(fn, tasks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", len(tasks))
-        observability.gauge_set("parallel.workers", 1)
-    return results
-
-
-class _SnapshottingTask:
-    """Task wrapper: every result carries the worker's metric snapshot.
-
-    Snapshots are cumulative per worker process (counters, span totals,
-    memo hit/miss counts); the parent keeps only the final snapshot of
-    each worker pid and merges it once, so per-task payloads stay tiny
-    and nothing is double-counted.  Picklable as long as the wrapped
-    function is a module-level callable — the same constraint
-    :func:`sweep_map` already imposes.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[_T], _R]):
-        self._fn = fn
-
-    def __call__(
-        self, task: _T
-    ) -> tuple[_R, observability.TraceSnapshot]:
-        return self._fn(task), observability.worker_snapshot()
-
-
 def _merge_worker_snapshots(
     snapshots: Iterable[observability.TraceSnapshot],
 ) -> None:
-    """Merge the final (highest-seq) snapshot of every worker pid."""
+    """Merge the final (highest-seq) snapshot of every worker pid.
+
+    Snapshots are cumulative per worker process (counters, span totals,
+    memo hit/miss counts), so keeping only the last one per pid merges
+    each worker exactly once.
+    """
     final: dict[int, observability.TraceSnapshot] = {}
     for snap in snapshots:
         cur = final.get(snap.pid)
@@ -169,25 +144,27 @@ def _merge_worker_snapshots(
 
 
 # ----------------------------------------------------------------------
-# Block dispatch: batchable task families
+# Block forms of task functions
 #
 # Some task functions have a *block form* — a module-level callable that
 # evaluates a whole list of tasks in one vectorized pass (e.g. the
 # stacked fluid solver advancing hundreds of fault scenarios in one
 # numpy water-fill) and returns one result per task, bit-identical to
-# ``[fn(t) for t in tasks]``.  Registering that block form lets
-# :func:`sweep_map` dispatch scenario *blocks* instead of single tasks:
-# the per-scenario python overhead amortizes across the block, and the
-# pool moves far fewer (bigger) pickles.  The scalar path remains the
-# oracle: ``REPRO_VECTOR=0`` disables block dispatch entirely, and the
-# differential suite pins block results to the scalar ones.
+# ``[fn(t) for t in tasks]``.  Registering that block form lets the
+# executor run each block through it: the per-scenario python overhead
+# amortizes across the block.  ``REPRO_VECTOR=0`` disables block forms
+# entirely, and the differential suite pins block results to the
+# per-task ones.
 
-#: Sweeps at or below this many tasks run serially in-process — pool
-#: startup + pickling costs more than it saves at this size (the
-#: designsearch crossover seam in BENCH_perf.json, where the parallel
-#: sweep ran ~1.7x *slower* than serial).  Applies to block-dispatched
-#: families and plain per-task sweeps alike.
+#: Sweeps at or below this many tasks run in-process — pool startup
+#: costs more than it saves at this size (the designsearch crossover
+#: seam in BENCH_perf.json, where the parallel sweep ran ~1.7x *slower*
+#: than serial).  Sweeps with an explicit policy are exempt: they ask
+#: for crash isolation, which only a pool gives.
 _SMALL_SWEEP_TASKS = 32
+
+#: Smallest sweep worth a block form; a single task runs per-task.
+_MIN_BLOCK_TASKS = 2
 
 #: Scheduler cost model, calibrated coarse on purpose: these only have
 #: to get the *sign* of "does a pool pay for itself" right, and tests
@@ -210,16 +187,12 @@ class BlockRunner:
         Module-level callable mapping a list of tasks to a list of
         results (one per task, in order, bit-identical to the scalar
         task function applied per task).
-    min_block_tasks:
-        Smallest sweep size worth block dispatch; smaller sweeps use
-        the plain per-task path.
     max_block_tasks:
         Upper bound on tasks per block — caps peak memory of the
         stacked solve.
     """
 
     block_fn: Callable[[Sequence[Any]], Sequence[Any]]
-    min_block_tasks: int = 2
     max_block_tasks: int = 256
 
 
@@ -230,7 +203,6 @@ def register_block_runner(
     task_fn: Callable[[_T], _R],
     block_fn: Callable[[Sequence[_T]], Sequence[_R]],
     *,
-    min_block_tasks: int = 2,
     max_block_tasks: int = 256,
 ) -> None:
     """Register *block_fn* as the batched form of *task_fn*.
@@ -238,20 +210,12 @@ def register_block_runner(
     Both callables must be module-level (picklable) functions.  The
     contract is strict: ``block_fn(tasks)`` must return exactly
     ``[task_fn(t) for t in tasks]`` — the differential test suite
-    enforces bit-identity, and :func:`sweep_map` validates the result
-    count of every block.
+    enforces bit-identity, and the executor validates the result count
+    of every block.
     """
-    check_positive_int(min_block_tasks, "min_block_tasks")
     check_positive_int(max_block_tasks, "max_block_tasks")
-    if max_block_tasks < min_block_tasks:
-        raise ValueError(
-            f"max_block_tasks ({max_block_tasks}) < min_block_tasks "
-            f"({min_block_tasks})"
-        )
     _BLOCK_RUNNERS[task_fn] = BlockRunner(
-        block_fn=block_fn,
-        min_block_tasks=min_block_tasks,
-        max_block_tasks=max_block_tasks,
+        block_fn=block_fn, max_block_tasks=max_block_tasks
     )
 
 
@@ -277,112 +241,22 @@ def block_runner_for(
     return reg if vector_enabled() else None
 
 
-def _block_size(n: int, workers: int, runner: BlockRunner) -> int:
-    """Chunk-adaptive block size for *n* tasks on *workers* workers.
+def _block_size(n: int, workers: int, runner: BlockRunner | None) -> int:
+    """Tasks per block for *n* tasks on *workers* workers.
 
-    Serial dispatch wants one maximal block (the stacked solve's
-    amortization is the whole point); pool dispatch aims for roughly
-    four blocks per worker so stragglers load-balance.  Both are capped
-    by the runner's ``max_block_tasks``.
+    A pool aims for roughly four blocks per worker so stragglers
+    load-balance.  In-process, a block form gets one maximal block
+    (the stacked solve's amortization is the whole point) while the
+    per-task body runs one task per block, so each result is harvested
+    — and journaled — the moment it exists.  Capped by the runner's
+    ``max_block_tasks``.
     """
-    size = max(1, -(-n // (workers * 4))) if workers > 1 else n
-    return max(1, min(size, runner.max_block_tasks))
-
-
-def _check_block_results(
-    values: Sequence[Any], chunk: Sequence[Any], runner: BlockRunner
-) -> None:
-    if len(values) != len(chunk):
-        raise RuntimeError(
-            f"block runner "
-            f"{getattr(runner.block_fn, '__qualname__', runner.block_fn)!r}"
-            f" returned {len(values)} results for a block of "
-            f"{len(chunk)} tasks"
-        )
-
-
-class _SnapshottingBlock:
-    """Block wrapper: runs a whole chunk, returns values + snapshot."""
-
-    __slots__ = ("_block_fn",)
-
-    def __init__(self, block_fn: Callable[[Sequence[_T]], Sequence[_R]]):
-        self._block_fn = block_fn
-
-    def __call__(
-        self, chunk: Sequence[_T]
-    ) -> tuple[list[_R], observability.TraceSnapshot]:
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(self._block_fn(chunk))
-        return values, observability.worker_snapshot()
-
-
-class _ShmBlock:
-    """Block wrapper over the shared-memory transport.
-
-    Receives a :class:`repro.sharedmem.ShmPayload` instead of a pickled
-    chunk, reconstructs the tasks as read-only zero-copy views over the
-    parent's shared segments, runs the block, and offloads any large
-    result buffers back through worker-owned segments (small results —
-    the common case — return in-band; the parent materializes and
-    releases either way via ``decode_result``).
-    """
-
-    __slots__ = ("_block_fn",)
-
-    def __init__(self, block_fn: Callable[[Sequence[_T]], Sequence[_R]]):
-        self._block_fn = block_fn
-
-    def __call__(
-        self, payload: Any
-    ) -> tuple[Any, observability.TraceSnapshot]:
-        chunk = sharedmem.shm_loads(payload)
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(self._block_fn(chunk))
-        return (
-            sharedmem.maybe_shm_dumps(values),
-            observability.worker_snapshot(),
-        )
-
-
-def _pool_worker_init() -> None:
-    """Pool initializer: zero fork-inherited observability counters and
-    drop fork-inherited shared-segment mappings (workers re-attach on
-    demand against their own cache)."""
-    observability.reset_worker()
-    sharedmem.detach_segments()
-
-
-def _run_block_chunks(
-    runner: BlockRunner, chunks: Sequence[Sequence[_T]]
-) -> list[Any]:
-    """Run block chunks serially in-process, validating each."""
-    results: list[Any] = []
-    for chunk in chunks:
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(runner.block_fn(chunk))
-        _check_block_results(values, chunk, runner)
-        results.extend(values)
-    return results
-
-
-def _block_serial(
-    runner: BlockRunner, task_list: Sequence[_T]
-) -> list[Any]:
-    """Serial block execution (jobs==1, 1-CPU host, crossover guard)."""
-    n = len(task_list)
-    size = _block_size(n, 1, runner)
-    chunks = [task_list[s : s + size] for s in range(0, n, size)]
-    with observability.span(
-        "parallel.sweep", tasks=n, workers=1, blocks=len(chunks)
-    ):
-        results = _run_block_chunks(runner, chunks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", n)
-        observability.counter_add("parallel.blocks", len(chunks))
-        observability.gauge_set("parallel.workers", 1)
-    return results
+    if workers > 1:
+        size = -(-n // (workers * 4))
+    else:
+        size = n if runner is not None else 1
+    cap = runner.max_block_tasks if runner is not None else n
+    return max(1, min(size, cap))
 
 
 def _plan_adaptive(
@@ -424,159 +298,334 @@ def _plan_adaptive(
     return size, workers
 
 
-def _dispatch_block_pool(
-    runner: BlockRunner,
-    chunks: Sequence[Sequence[_T]],
-    workers: int,
-    transport: str | None,
-) -> list[Any] | None:
-    """Run block chunks through a process pool; ``None`` if no pool.
+# ----------------------------------------------------------------------
+# The executor core
 
-    With the shared-memory transport each chunk crosses the pipe as a
-    small descriptor payload while its arrays live in pool-owned
-    segments, unlinked when the dispatch completes (or fails — the
-    ``finally`` guarantees no ``/dev/shm`` leak on any exit path).
+
+class _Body:
+    """One block of a sweep; picklable, so it runs in-process or in a
+    pool worker alike.
+
+    Returns ``(values, error)``: the results of the leading tasks that
+    completed and, when a task raised, its exception (the task at
+    ``values``' length; later tasks of the chunk did not run).  A block
+    form that raises falls back to the per-task body for the chunk.
+    The chaos kill hook fires for every index of a block form's chunk
+    before it runs, and for each task before the per-task body runs it.
+    """
+
+    __slots__ = ("fn", "block_fn")
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        block_fn: Callable[[Sequence[Any]], Sequence[Any]] | None,
+    ):
+        self.fn = fn
+        self.block_fn = block_fn
+
+    def __call__(
+        self, indices: Sequence[int], chunk: Sequence[Any]
+    ) -> tuple[list[Any], Exception | None]:
+        if self.block_fn is not None:
+            for i in indices:
+                _maybe_test_kill(i)
+            try:
+                with observability.span(
+                    "parallel.block", tasks=len(chunk)
+                ):
+                    values = list(self.block_fn(chunk))
+            except Exception:
+                observability.counter_add("parallel.block_fallbacks")
+            else:
+                if len(values) != len(chunk):
+                    raise RuntimeError(
+                        f"block runner "
+                        f"{getattr(self.block_fn, '__qualname__', self.block_fn)!r}"
+                        f" returned {len(values)} results for a block of "
+                        f"{len(chunk)} tasks"
+                    )
+                return values, None
+        values = []
+        for i, task in zip(indices, chunk):
+            _maybe_test_kill(i)
+            try:
+                values.append(self.fn(task))
+            except Exception as exc:
+                return values, exc
+        return values, None
+
+
+def _in_worker(
+    body: _Body, indices: Sequence[int], chunk: Sequence[Any]
+) -> tuple[list[Any], Exception | None, observability.TraceSnapshot]:
+    """Pool entry point: a block plus the worker's metric snapshot."""
+    values, error = body(indices, chunk)
+    return values, error, observability.worker_snapshot()
+
+
+_PENDING = object()
+
+
+class _Sweep:
+    """Mutable bookkeeping of one sweep, shared by both loops."""
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Sequence[Any],
+        policy: ResiliencePolicy,
+        runner: BlockRunner | None = None,
+    ):
+        self.fn = fn
+        self.tasks = tasks
+        self.policy = policy
+        self.runner = runner
+        self.results: list[Any] = [_PENDING] * len(tasks)
+        self.attempts: dict[int, int] = {}
+        self.ckpt: SweepCheckpoint | None = None
+        self.keys: list[str] = []
+        self.blocks = 0
+        self.workers = 1
+        self.pool_rebuilds = 0
+
+    def resume(self, ckpt: SweepCheckpoint) -> None:
+        """Fill results journaled by an earlier run; journal the rest."""
+        name = _fn_name(self.fn)
+        self.keys = [task_key(t) for t in self.tasks]
+        done = ckpt.load(name)
+        resumed = 0
+        for i, key in enumerate(self.keys):
+            if key in done:
+                self.results[i] = done[key]
+                resumed += 1
+        if resumed:
+            observability.counter_add("resilience.resumed_tasks", resumed)
+        ckpt.open_for_append(name, len(self.tasks))
+        self.ckpt = ckpt
+
+    def pending(self) -> list[int]:
+        return [i for i, r in enumerate(self.results) if r is _PENDING]
+
+    def plan(self, pending: Sequence[int], workers: int) -> list[list[int]]:
+        """Contiguous blocks over *pending*; one task each under a
+        ``task_timeout`` (a timeout bounds one task, not a block)."""
+        if self.policy.task_timeout is not None:
+            size = 1
+        else:
+            size = _block_size(len(pending), workers, self.runner)
+        return [
+            list(pending[s : s + size])
+            for s in range(0, len(pending), size)
+        ]
+
+    def body(self) -> _Body:
+        block_fn = self.runner.block_fn if self.runner is not None else None
+        return _Body(self.fn, block_fn)
+
+    def chunk(self, block: Sequence[int]) -> list[Any]:
+        return [self.tasks[i] for i in block]
+
+    def harvest(
+        self,
+        block: Sequence[int],
+        values: Sequence[Any],
+        error: Exception | None,
+    ) -> None:
+        """Store (and journal) a block's results; retry or fail the task
+        that raised.  Tasks after it stay pending for the next round."""
+        if self.runner is not None:
+            self.blocks += 1
+        for i, value in zip(block, values):
+            self.results[i] = value
+            if self.ckpt is not None:
+                self.ckpt.record(self.keys[i], i, value)
+        if error is not None:
+            i = block[len(values)]
+            if not self.retry(i):
+                self.fail(i, error)
+
+    def retry(self, index: int) -> bool:
+        """Count a failed attempt; back off and return True if the task
+        may run again (it stays pending)."""
+        attempts = self.attempts[index] = self.attempts.get(index, 0) + 1
+        if attempts > self.policy.max_retries:
+            return False
+        observability.counter_add("resilience.retries")
+        time.sleep(self.policy.backoff(attempts))  # repro: allow-wallclock retry backoff; delays rerun, never changes results
+        return True
+
+    def fail(self, index: int, exc: BaseException) -> None:
+        """A task exhausted its retries: quarantine or raise."""
+        if not self.policy.quarantine:
+            raise exc
+        observability.counter_add("resilience.quarantined")
+        self.results[index] = TaskFailure(
+            index=index,
+            task=_short_repr(self.tasks[index]),
+            error_type=type(exc).__name__,
+            error=str(exc),
+            attempts=self.attempts.get(index, 0),
+        )
+
+
+def _run_serial(sweep: _Sweep) -> None:
+    """The serial loop: every pending block in-process, until none is
+    left.  The kill hook fires here too — in-process it terminates the
+    driver itself, which is what the checkpoint/resume chaos tests
+    want: a deterministic mid-sweep death."""
+    body = sweep.body()
+    while pending := sweep.pending():
+        for block in sweep.plan(pending, 1):
+            values, error = body(block, sweep.chunk(block))
+            sweep.harvest(block, values, error)
+
+
+class _PoolRestart(Exception):
+    """Internal: unwind to the pool-rebuild handler."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+
+def _run_pool(sweep: _Sweep, workers: int) -> None:
+    """The pool loop: submit blocks, collect them in order, rebuild the
+    pool when it breaks.
+
+    A ``BrokenProcessPool`` (a worker died, e.g. the chaos kill hook
+    firing mid-block) or a timed-out task shuts the pool down and
+    re-plans blocks over the tasks still pending — completed tasks
+    were already harvested (and journaled) individually, so the new
+    blocking need not match the old one.  After
+    ``policy.max_pool_rebuilds`` rebuilds the rest runs serially.
     """
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeout
+    from concurrent.futures.process import BrokenProcessPool
+
+    # A pool process with no block to run is pure fork cost.
+    workers = min(workers, len(sweep.plan(sweep.pending(), workers)))
+
+    def make_pool() -> ProcessPoolExecutor:
+        # The initializer zeroes fork-inherited counters so each
+        # worker's cumulative snapshot is a clean delta (see
+        # observability.reset_worker).
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=observability.reset_worker
+        )
 
     try:
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init
-        )
+        executor: Any = make_pool()
     except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
+        # No usable process pool on this platform/sandbox: the sweep
+        # still completes, just serially — but never invisibly.
         warnings.warn(
             f"cannot create a process pool "
-            f"({type(exc).__name__}: {exc}); running the blocked sweep "
-            f"serially",
+            f"({type(exc).__name__}: {exc}); running the sweep serially",
             RuntimeWarning,
             stacklevel=3,
         )
         observability.counter_add("parallel.fallback_serial")
-        return None
-
-    mode = sharedmem.resolve_transport(transport)
-    tx: sharedmem.SharedArrayPool | None = None
-    pairs: list[tuple[Any, observability.TraceSnapshot]] = []
+        _run_serial(sweep)
+        return
+    sweep.workers = workers
+    timeout = sweep.policy.task_timeout
+    body = sweep.body()
+    snapshots: list[observability.TraceSnapshot] = []
+    clean = False
     try:
-        payloads: Sequence[Any] = chunks
-        wrapper: Callable[[Any], Any] = _SnapshottingBlock(runner.block_fn)
-        if mode == "shm":
-            tx = sharedmem.SharedArrayPool()
-            payloads = [tx.dumps(chunk) for chunk in chunks]
-            wrapper = _ShmBlock(runner.block_fn)
-            if observability.OBS.enabled:
-                observability.counter_add(
-                    "parallel.shm_bytes", tx.bytes_used
-                )
-        try:
-            pairs = list(
-                executor.map(wrapper, payloads, chunksize=1)
-            )
-        finally:
-            executor.shutdown()
-    finally:
-        if tx is not None:
-            tx.unlink()
-    _merge_worker_snapshots(snap for _, snap in pairs)
-    results: list[Any] = []
-    try:
-        for (values, _snap), chunk in zip(pairs, chunks):
-            plain = sharedmem.decode_result(values)
-            _check_block_results(plain, chunk, runner)
-            results.extend(plain)
-    finally:
-        for values, _snap in pairs:
-            sharedmem.release_payload(values)
-    return results
-
-
-def _block_sweep(
-    runner: BlockRunner,
-    task_list: Sequence[_T],
-    jobs: int,
-    transport: str | None = None,
-) -> list[Any]:
-    """Execute a sweep through its registered block runner.
-
-    Chunk-adaptive scheduling: the first block runs in-process and is
-    timed; the measured per-task cost sizes the remaining chunks and
-    decides — by projected cost, see :func:`_plan_adaptive` — whether a
-    worker pool pays for itself at all.  A sweep whose pool would cost
-    more than it saves finishes serially, so ``jobs>1`` is never a
-    pessimization.  Results are bit-identical either way: blocking is
-    an execution detail the block-runner contract guarantees away.
-    """
-    n = len(task_list)
-    workers = min(jobs, os.cpu_count() or 1)
-    if n <= _SMALL_SWEEP_TASKS:
-        workers = 1  # pool overhead beats the savings at this size
-    if workers <= 1:
-        return _block_serial(runner, task_list)
-
-    probe = list(task_list[: _block_size(n, workers, runner)])
-    blocks_run = 1
-    pool_workers = 1
-    with observability.span(
-        "parallel.sweep", tasks=n, workers=workers
-    ):
-        start = time.perf_counter()  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
-        with observability.span("parallel.block", tasks=len(probe)):
-            values = list(runner.block_fn(probe))
-        probe_s = time.perf_counter() - start  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
-        _check_block_results(values, probe, runner)
-        results: list[Any] = list(values)
-
-        remaining = task_list[len(probe):]
-        if remaining:
-            per_task = max(probe_s / len(probe), 1e-9)
-            plan = _plan_adaptive(
-                len(remaining), workers, runner, per_task
-            )
-            pooled: list[Any] | None = None
-            if plan is not None:
-                size, pool_workers = plan
-                chunks = [
-                    remaining[s : s + size]
-                    for s in range(0, len(remaining), size)
+        while pending := sweep.pending():
+            blocks = sweep.plan(pending, workers)
+            try:
+                futures = [
+                    executor.submit(_in_worker, body, b, sweep.chunk(b))
+                    for b in blocks
                 ]
-                pooled = _dispatch_block_pool(
-                    runner, chunks, pool_workers, transport
+                for block, fut in zip(blocks, futures):
+                    try:
+                        values, error, snap = fut.result(timeout=timeout)
+                    except FuturesTimeout:
+                        observability.counter_add("resilience.timeouts")
+                        i = block[0]
+                        if not sweep.retry(i):
+                            sweep.fail(i, TimeoutError(
+                                f"task exceeded {timeout}s wall-clock "
+                                f"budget"
+                            ))
+                        # Either way the worker is stuck on this task:
+                        # only a new pool gets it back.
+                        raise _PoolRestart(f"task {i} timed out") from None
+                    snapshots.append(snap)
+                    sweep.harvest(block, values, error)
+            except (_PoolRestart, BrokenProcessPool) as err:
+                reason = getattr(err, "reason", "worker process died")
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = None
+                sweep.pool_rebuilds += 1
+                observability.counter_add("resilience.pool_rebuilds")
+                left = len(sweep.pending())
+                if sweep.pool_rebuilds > sweep.policy.max_pool_rebuilds:
+                    warnings.warn(
+                        f"process pool irrecoverable after "
+                        f"{sweep.policy.max_pool_rebuilds} rebuild(s) "
+                        f"(last: {reason}); degrading to serial "
+                        f"execution for the remaining {left} task(s)",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    observability.counter_add("resilience.fallback_serial")
+                    _run_serial(sweep)
+                    break
+                warnings.warn(
+                    f"rebuilding worker pool ({reason}); re-planning "
+                    f"blocks over {left} unfinished task(s)",
+                    RuntimeWarning,
+                    stacklevel=3,
                 )
-                if pooled is not None:
-                    blocks_run += len(chunks)
-            if pooled is not None:
-                results.extend(pooled)
-            else:
-                # Projected pool overhead exceeds projected savings
-                # (or no pool is available): finish serially with
-                # maximal blocks.
-                if plan is None:
-                    observability.counter_add("parallel.adaptive_serial")
-                pool_workers = 1
-                size = _block_size(len(remaining), 1, runner)
-                chunks = [
-                    remaining[s : s + size]
-                    for s in range(0, len(remaining), size)
-                ]
-                results.extend(_run_block_chunks(runner, chunks))
-                blocks_run += len(chunks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", n)
-        observability.counter_add("parallel.blocks", blocks_run)
-        observability.gauge_set("parallel.workers", pool_workers)
-    return results
+                executor = make_pool()
+        clean = True
+    finally:
+        if executor is not None:
+            # A failed sweep may leave a worker stuck: never wait on it.
+            executor.shutdown(wait=clean, cancel_futures=True)
+    _merge_worker_snapshots(snapshots)
+
+
+def _run_adaptive(sweep: _Sweep, workers: int) -> None:
+    """Probe-timed plan for a block form: the first block runs
+    in-process and is timed; the measured per-task cost sizes the
+    remaining blocks and decides — by projected cost, see
+    :func:`_plan_adaptive` — whether a pool pays for itself at all.  A
+    sweep whose pool would cost more than it saves finishes serially,
+    so ``jobs>1`` is never a pessimization."""
+    pending = sweep.pending()
+    probe = pending[: _block_size(len(pending), workers, sweep.runner)]
+    start = time.perf_counter()  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
+    values, error = sweep.body()(probe, sweep.chunk(probe))
+    probe_s = time.perf_counter() - start  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
+    sweep.harvest(probe, values, error)
+    rest = sweep.pending()
+    if not rest:
+        return
+    plan = _plan_adaptive(
+        len(rest), workers, sweep.runner, max(probe_s / len(probe), 1e-9)
+    )
+    if plan is None:
+        observability.counter_add("parallel.adaptive_serial")
+        _run_serial(sweep)
+        return
+    size, workers = plan
+    sweep.runner = dataclasses.replace(sweep.runner, max_block_tasks=size)
+    _run_pool(sweep, workers)
 
 
 def sweep_map(
     fn: Callable[[_T], _R],
     tasks: Iterable[_T],
     jobs: int | None = 1,
-    chunksize: int | None = None,
     *,
-    policy: Any | None = None,
-    checkpoint: Any | None = None,
-    transport: str | None = None,
+    policy: ResiliencePolicy | None = None,
+    checkpoint: str | os.PathLike[str] | SweepCheckpoint | None = None,
 ) -> list[_R]:
     """Map *fn* over *tasks*, optionally across worker processes.
 
@@ -594,29 +643,15 @@ def sweep_map(
         The effective count is additionally capped at the machine's CPU
         count; when that cap leaves a single worker, the sweep runs
         serially (a one-worker pool is pure IPC overhead).
-    chunksize:
-        Tasks handed to a worker per dispatch; defaults to roughly four
-        chunks per worker, which amortizes pickling for short tasks
-        while keeping the pool load-balanced.
     policy:
-        Optional :class:`repro.resilience.ResiliencePolicy`.  When set
-        (or when *checkpoint* is set) the sweep runs through
-        :func:`repro.resilience.resilient_sweep_map`, which adds
-        bounded retries, per-task timeouts, worker-crash recovery, and
-        poison-task quarantine while preserving this function's
-        ordering and determinism contract.
+        Optional :class:`repro.resilience.ResiliencePolicy`: bounded
+        retries, per-task timeouts and poison-task quarantine.  Without
+        one a task exception propagates unchanged, with no retry.
     checkpoint:
         Optional JSONL checkpoint path (or
         :class:`repro.resilience.SweepCheckpoint`): completed task
         results are journaled as they finish and a restarted sweep
         resumes from them instead of recomputing.
-    transport:
-        How block payloads reach the workers: ``"shm"`` ships large
-        numpy buffers as zero-copy :mod:`repro.sharedmem` descriptors,
-        ``"pickle"`` uses the classic pipe, and ``None``/``"auto"``
-        (the default) picks shm whenever ``REPRO_SHM`` is not disabled
-        and the platform supports it.  Transport never changes
-        results — only how their bytes travel.
 
     Returns
     -------
@@ -627,100 +662,74 @@ def sweep_map(
     Notes
     -----
     Pool *creation* failures (platforms without process support) degrade
-    to the serial path.  Exceptions raised by *fn* itself always
-    propagate — a failing task is a bug, not a reason to fall back.
+    to the serial loop; a pool that breaks mid-sweep is rebuilt.
+    Exceptions raised by *fn* itself always propagate (or quarantine,
+    under a policy) — a failing task is a bug, not a reason to fall
+    back.
 
     When *fn* has a registered block runner (see
     :func:`register_block_runner`) and ``REPRO_VECTOR`` is not disabled,
-    the sweep dispatches scenario *blocks* through the runner's
-    vectorized block function instead of single tasks — same results,
-    bit-identical, but hundreds of scenarios advance in one numpy pass.
-    Sweeps of at most ``_SMALL_SWEEP_TASKS`` tasks run their blocks
-    serially in-process, where pool startup would dominate.
-    *chunksize* is ignored on the block path (block sizing is
-    chunk-adaptive).
+    each block runs through the runner's vectorized block function —
+    same results, bit-identical, but hundreds of scenarios advance in
+    one numpy pass.  Sweeps of at most ``_SMALL_SWEEP_TASKS`` tasks run
+    in-process, where pool startup would dominate.
 
-    Each parallel task result additionally carries the worker's
-    cumulative metric snapshot (:mod:`repro.observability`); the final
-    snapshot per worker is merged into this process at sweep
-    completion, so memo hit/miss accounting
-    (:func:`repro.caching.cache_stats`) and — when tracing is enabled —
-    counters and span totals reflect worker-side activity.  The merge
-    never changes results.
+    Every sweep opens a ``parallel.sweep`` span and adds to the
+    ``parallel.sweeps``/``parallel.tasks`` counters, whatever ``jobs``
+    is.  Each pool block additionally carries the worker's cumulative
+    metric snapshot (:mod:`repro.observability`); the final snapshot
+    per worker is merged into this process at sweep completion, so memo
+    hit/miss accounting (:func:`repro.caching.cache_stats`) and — when
+    tracing is enabled — counters and span totals reflect worker-side
+    activity.  The merge never changes results.
+
+    Without a policy the sweep runs as
+    ``ResiliencePolicy(max_retries=0)`` plus the small-sweep cutoff and
+    the probe-timed plan; an explicit policy skips both, so a pool
+    isolates every task whenever ``jobs`` allows.
     """
-    if policy is not None or checkpoint is not None:
-        from .resilience import resilient_sweep_map
-
-        return resilient_sweep_map(
-            fn, tasks, jobs, policy=policy, checkpoint=checkpoint,
-            transport=transport,
-        )
     task_list = list(tasks)
     jobs = resolve_jobs(jobs)
-    if chunksize is not None:
-        check_positive_int(chunksize, "chunksize")
-    # Batchable task family: dispatch scenario blocks through the
-    # registered vector runner (even at jobs=1 — the stacked solve's
-    # amortization does not need a pool).  REPRO_VECTOR=0 makes
-    # block_runner_for return None, restoring the scalar path below.
-    runner = block_runner_for(fn)
-    if runner is not None and len(task_list) >= runner.min_block_tasks:
-        return _block_sweep(runner, task_list, jobs, transport)
-    if jobs == 1 or len(task_list) <= 1:
-        return _serial_map(fn, task_list)
-    if len(task_list) <= _SMALL_SWEEP_TASKS:
-        # Crossover guard: at this size pool spawn + per-task pickling
-        # costs more than it saves (the BENCH-observed
-        # designsearch_parallel_s > designsearch_serial_s), so a
-        # requested-parallel small sweep runs serially — with the pool
-        # path's observability contract intact.
-        return _serial_fallback(fn, task_list)
-
-    # Parallelism cannot beat the hardware: more workers than CPUs only
-    # adds process churn and pickling (a 1-CPU host ran the parallel
-    # design-search sweep ~2x slower than serial before this cap), so
-    # the effective count is bounded by the CPU count — and a bound of
-    # one means the pool would be pure overhead: run serially instead.
-    workers = min(jobs, len(task_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return _serial_fallback(fn, task_list)
-    if chunksize is None:
-        chunksize = max(1, -(-len(task_list) // (workers * 4)))
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The initializer zeroes fork-inherited counters so each
-        # worker's cumulative snapshot is a clean delta (see
-        # observability.reset_worker).
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=observability.reset_worker
+    adaptive = policy is None
+    sweep = _Sweep(
+        fn, task_list, policy or ResiliencePolicy(max_retries=0)
+    )
+    ckpt: SweepCheckpoint | None = None
+    if checkpoint is not None:
+        ckpt = (
+            checkpoint
+            if isinstance(checkpoint, SweepCheckpoint)
+            else SweepCheckpoint(checkpoint)
         )
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        # No usable process pool on this platform/sandbox: the sweep
-        # still completes, just serially — but never invisibly.
-        warnings.warn(
-            f"cannot create a process pool "
-            f"({type(exc).__name__}: {exc}); running the sweep "
-            f"serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        observability.counter_add("parallel.fallback_serial")
-        return _serial_fallback(fn, task_list)
+        sweep.resume(ckpt)
+    pending = sweep.pending()
+    if len(pending) >= _MIN_BLOCK_TASKS:
+        # Looked up per sweep: REPRO_VECTOR=0 and test registrations
+        # take effect at call time.
+        sweep.runner = block_runner_for(fn)
     try:
         with observability.span(
-            "parallel.sweep", tasks=len(task_list), workers=workers
+            "parallel.sweep", tasks=len(task_list), pending=len(pending)
         ):
-            pairs = list(
-                executor.map(
-                    _SnapshottingTask(fn), task_list, chunksize=chunksize
-                )
-            )
+            workers = min(jobs, len(pending), os.cpu_count() or 1)
+            if workers <= 1 or (
+                adaptive and len(pending) <= _SMALL_SWEEP_TASKS
+            ):
+                _run_serial(sweep)
+            elif adaptive and sweep.runner is not None:
+                _run_adaptive(sweep, workers)
+            else:
+                _run_pool(sweep, workers)
     finally:
-        executor.shutdown()
-    _merge_worker_snapshots(snap for _, snap in pairs)
+        if ckpt is not None:
+            ckpt.close()
     if observability.OBS.enabled:
         observability.counter_add("parallel.sweeps")
         observability.counter_add("parallel.tasks", len(task_list))
-        observability.gauge_set("parallel.workers", workers)
-    return [result for result, _ in pairs]
+        if sweep.blocks:
+            observability.counter_add("parallel.blocks", sweep.blocks)
+        observability.gauge_set("parallel.workers", sweep.workers)
+        if not adaptive or ckpt is not None:
+            observability.counter_add("resilience.sweeps")
+            observability.counter_add("resilience.tasks", len(task_list))
+    return sweep.results

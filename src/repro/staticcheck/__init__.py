@@ -7,7 +7,6 @@ invariants the test suite can only spot-check dynamically:
   observability, no set-iteration feeding ordered output;
 - float discipline: no ``==``/``!=`` on float-typed expressions;
 - env hygiene: every ``REPRO_*`` knob flows through :mod:`repro.env`;
-- shm safety: shared views stay read-only, segments get released;
 - observability: experiment drivers open spans;
 - checkpoint purity: journaled records embed no ephemeral identity.
 
@@ -43,7 +42,6 @@ from . import (  # noqa: E402,F401  (import for side effects)
     rules_env,
     rules_floats,
     rules_obs,
-    rules_shm,
 )
 from .doccheck import check_knob_docs, find_docs_dir
 from .reporters import render_json, render_text

@@ -1,10 +1,11 @@
 """Analyzer core: findings, the rule registry, and suppressions.
 
 The reproduction's headline claims are exact-arithmetic comparisons
-(bit-identical serial/parallel, vector/scalar, pickle/shm results), so
+(bit-identical serial/parallel, vector/scalar, resumed/uninterrupted
+results), so
 the hazards worth linting for are the ones that silently break that
 contract: unseeded randomness, wall-clock reads, float equality,
-ad-hoc environment knobs, shared-memory mutation.  Rules are small AST
+ad-hoc environment knobs.  Rules are small AST
 visitors registered in :data:`RULES`; the driver parses each file
 once, hands every rule the same :class:`FileContext`, and filters the
 emitted findings through per-line suppression comments::
@@ -132,8 +133,8 @@ def import_aliases(tree: ast.AST) -> dict[str, str]:
     ``import numpy as np`` maps ``np`` → ``numpy``; ``from numpy import
     random as nr`` maps ``nr`` → ``numpy.random``; ``from os import
     urandom`` maps ``urandom`` → ``os.urandom``.  Relative imports map
-    to their trailing module path (``from ..sharedmem import
-    attach_array`` → ``sharedmem.attach_array``), enough for the
+    to their trailing module path (``from ..parallel import
+    sweep_map`` → ``parallel.sweep_map``), enough for the
     suffix-matching rules use.
     """
     aliases: dict[str, str] = {}

@@ -1,8 +1,8 @@
 """Determinism rules: randomness, wall-clock time, set iteration.
 
 Every result in this reproduction must be a pure function of explicit
-seeds — the serial≡parallel, vector≡scalar, and shm≡pickle contracts
-are all bit-exact comparisons, and one stray global-RNG draw or
+seeds — the serial≡parallel, vector≡scalar, and resumed≡uninterrupted
+contracts are all bit-exact comparisons, and one stray global-RNG draw or
 wall-clock read quietly voids them.
 """
 

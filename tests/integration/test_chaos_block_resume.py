@@ -12,9 +12,9 @@ Two legs:
 * a subprocess driver killed by ``REPRO_RESILIENCE_TEST_KILL`` while the
   serial-blocked path is between blocks (``os._exit``, like a SIGKILL),
   resumed against its ``--checkpoint`` journal;
-* a direct ``_run_block_pool`` call whose worker is killed mid-block,
-  forcing the ``BrokenProcessPool`` → pool-rebuild → re-planned-blocks
-  recovery path.
+* a direct call of the executor's pool loop whose worker is killed
+  mid-block, forcing the ``BrokenProcessPool`` → pool-rebuild →
+  re-planned-blocks recovery path.
 """
 
 from __future__ import annotations
@@ -31,21 +31,6 @@ import pytest
 from repro import sharedmem
 from repro.resilience import TEST_KILL_EXIT_CODE
 
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Chaos or not, /dev/shm must end every test as it began.
-
-    Guards the shared-memory transport's lifecycle discipline across
-    the three fates a dispatch generation can meet: normal completion,
-    a worker killed mid-block, and a BrokenProcessPool rebuild."""
-    if not sharedmem.shm_supported():
-        yield
-        return
-    before = sharedmem.active_segments()
-    yield
-    sharedmem.detach_segments()
-    assert sharedmem.active_segments() == before
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -74,7 +59,6 @@ DRIVER = textwrap.dedent(
     register_block_runner(
         _fluid_scenario,
         _fluid_scenario_block,
-        min_block_tasks=2,
         max_block_tasks=2,
     )
     ckpt = None if sys.argv[1] == "-" else sys.argv[1]
@@ -193,49 +177,44 @@ def _square_block(xs) -> list[int]:
     return [_square(x) for x in xs]
 
 
+def _pool_sweep(fn, block_fn, tasks):
+    """A sweep over *tasks* whose block form runs two tasks per block,
+    ready for the executor's pool loop."""
+    from repro.parallel import BlockRunner, _Sweep
+    from repro.resilience import ResiliencePolicy
+
+    return _Sweep(
+        fn, tasks, ResiliencePolicy(),
+        runner=BlockRunner(block_fn=block_fn, max_block_tasks=2),
+    )
+
+
 class TestBlockPoolWorkerDeath:
     def test_broken_pool_rebuilds_and_replans(
         self, tmp_path, monkeypatch
     ):
-        from repro.parallel import BlockRunner
-        from repro.resilience import (
-            ResiliencePolicy,
-            _PENDING,
-            _run_block_pool,
-            _SweepState,
-        )
+        from repro.parallel import _run_pool
 
         tasks = list(range(10))
-        state = _SweepState(
-            fn=_square,
-            tasks=tasks,
-            results=[_PENDING] * len(tasks),
-            policy=ResiliencePolicy(),
-            ckpt=None,
-            keys=None,
-        )
-        runner = BlockRunner(
-            block_fn=_square_block, min_block_tasks=2, max_block_tasks=2
-        )
+        sweep = _pool_sweep(_square, _square_block, tasks)
         marker = tmp_path / "kill.marker"
         monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
         monkeypatch.setenv(
             "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
         )
         with pytest.warns(RuntimeWarning, match="rebuilding worker pool"):
-            _run_block_pool(state, workers=1, runner=runner)
-        assert state.results == [x * x for x in tasks]
-        assert state.pool_rebuilds >= 1
+            _run_pool(sweep, workers=1)
+        assert sweep.results == [x * x for x in tasks]
+        assert sweep.pool_rebuilds >= 1
         assert marker.exists()
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport under chaos: segments must be reclaimed on
-# every exit path — normal completion, a worker killed mid-block (the
-# BrokenProcessPool rebuild), and the final degraded-serial fallback.
-# The autouse ``no_shm_leaks`` fixture asserts the invariant for every
-# test in this module; the tests below drive the transport through the
-# specific fates.
+# Array-carrying tasks under chaos, through the pool's pickle pipe: the
+# three fates a dispatch generation can meet — normal completion, a
+# worker killed mid-block (the BrokenProcessPool rebuild), and the final
+# degraded-serial fallback — all return the exact results and leave no
+# shared-memory segment behind.
 
 
 def _array_sum(task):
@@ -247,82 +226,59 @@ def _array_sum_block(tasks):
     return [_array_sum(t) for t in tasks]
 
 
-def _shm_state_and_runner():
+def _array_sweep():
     import numpy as np
 
-    from repro.parallel import BlockRunner
-    from repro.resilience import ResiliencePolicy, _PENDING, _SweepState
-
-    # Each task carries a 160 KB plane, well past MIN_SHARED_BYTES, so
-    # every dispatched chunk genuinely creates shared segments.
+    # Each task carries a 160 KB plane, so every block's pickle is big.
     tasks = [(i, np.full(20_000, float(i))) for i in range(10)]
-    state = _SweepState(
-        fn=_array_sum,
-        tasks=tasks,
-        results=[_PENDING] * len(tasks),
-        policy=ResiliencePolicy(),
-        ckpt=None,
-        keys=None,
-    )
-    runner = BlockRunner(
-        block_fn=_array_sum_block, min_block_tasks=2, max_block_tasks=2
-    )
     expected = [float(arr.sum()) for _i, arr in tasks]
-    return state, runner, expected
+    return _pool_sweep(_array_sum, _array_sum_block, tasks), expected
 
 
-@pytest.mark.skipif(
-    not sharedmem.shm_supported(),
-    reason="multiprocessing.shared_memory unusable on this platform",
-)
 class TestShmChaosCleanup:
     def test_normal_completion_leaves_no_segments(self):
-        from repro.resilience import _run_block_pool
+        from repro.parallel import _run_pool
 
-        state, runner, expected = _shm_state_and_runner()
-        _run_block_pool(state, workers=1, runner=runner, transport="shm")
-        assert state.results == expected
+        sweep, expected = _array_sweep()
+        _run_pool(sweep, workers=1)
+        assert sweep.results == expected
         assert sharedmem.active_segments() == []
 
     def test_worker_kill_midblock_leaves_no_segments(
         self, tmp_path, monkeypatch
     ):
         """A killed worker breaks the pool mid-generation: the rebuild
-        must unlink that generation's segments before re-planning."""
-        from repro.resilience import _run_block_pool
+        re-plans blocks over the unfinished tasks."""
+        from repro.parallel import _run_pool
 
-        state, runner, expected = _shm_state_and_runner()
+        sweep, expected = _array_sweep()
         marker = tmp_path / "kill.marker"
         monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
         monkeypatch.setenv(
             "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
         )
         with pytest.warns(RuntimeWarning, match="rebuilding worker pool"):
-            _run_block_pool(
-                state, workers=1, runner=runner, transport="shm"
-            )
-        assert state.results == expected
-        assert state.pool_rebuilds >= 1
+            _run_pool(sweep, workers=1)
+        assert sweep.results == expected
+        assert sweep.pool_rebuilds >= 1
         assert marker.exists()
         assert sharedmem.active_segments() == []
 
     def test_degraded_serial_fallback_leaves_no_segments(
         self, tmp_path, monkeypatch
     ):
-        """Exhausting pool rebuilds degrades to serial blocks; the dead
-        generations' segments must all be gone by then."""
-        from repro.resilience import ResiliencePolicy, _run_block_pool
+        """Exhausting pool rebuilds degrades to serial blocks."""
+        from repro.parallel import _run_pool
+        from repro.resilience import ResiliencePolicy
 
-        state, runner, expected = _shm_state_and_runner()
-        state.policy = ResiliencePolicy(max_pool_rebuilds=0)
+        sweep, expected = _array_sweep()
+        sweep.policy = ResiliencePolicy(max_pool_rebuilds=0)
         marker = tmp_path / "kill.marker"
         monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
         monkeypatch.setenv(
             "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
         )
         with pytest.warns(RuntimeWarning, match="degrading to"):
-            _run_block_pool(
-                state, workers=1, runner=runner, transport="shm"
-            )
-        assert state.results == expected
+            _run_pool(sweep, workers=1)
+        assert sweep.results == expected
         assert sharedmem.active_segments() == []

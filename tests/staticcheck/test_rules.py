@@ -158,8 +158,8 @@ class TestSetOrder:
         assert not fired(res, "set-order")
 
     def test_orderfree_loop_clean(self):
-        # The sharedmem unlink loop: iterating a set is fine when no
-        # ordered output is built from it.
+        # Iterating a set is fine when no ordered output is built
+        # from it.
         res = run("""
             for seg in {d.segment for d in descriptors}:
                 unlink(seg)
@@ -262,116 +262,6 @@ class TestEnvKnob:
             os.environ["COLUMNS"] = "200"  # repro: allow-env-knob test harness shimming the terminal
         """)
         assert not fired(res, "env-knob")
-
-
-# ------------------------------------------------------------------ #
-# shm-mutation
-
-
-class TestShmMutation:
-    def test_write_through_attached_view_fires(self):
-        res = run("""
-            from repro.sharedmem import attach_array, detach_segments
-            def worker(desc):
-                arr = attach_array(desc)
-                arr[0] = 99.0
-                detach_segments([desc])
-        """)
-        (f,) = fired(res, "shm-mutation")
-        assert "arr" in f.message
-
-    def test_augassign_through_attached_view_fires(self):
-        res = run("""
-            from repro.sharedmem import attach_array, detach_segments
-            def worker(desc):
-                arr = attach_array(desc)
-                arr[:] += 1.0
-                detach_segments([desc])
-        """)
-        assert fired(res, "shm-mutation")
-
-    def test_reenabling_writeable_fires(self):
-        res = run("""
-            def hack(buf):
-                buf.flags.writeable = True
-        """)
-        assert fired(res, "shm-mutation")
-
-    def test_copy_then_mutate_clean(self):
-        res = run("""
-            from repro.sharedmem import attach_array, detach_segments
-            def worker(desc):
-                arr = attach_array(desc).copy()
-                local = arr
-                scratch = list(arr)
-                scratch[0] = 99.0
-                detach_segments([desc])
-        """)
-        assert not fired(res, "shm-mutation")
-
-    def test_sharedmem_module_may_flip_writeable(self):
-        res = run(
-            """
-            def _decode(buf):
-                buf.flags.writeable = True
-            """,
-            path="src/repro/sharedmem.py",
-        )
-        assert not fired(res, "shm-mutation")
-
-    def test_suppression(self):
-        res = run("""
-            from repro.sharedmem import attach_array, detach_segments
-            def worker(desc):
-                arr = attach_array(desc)
-                arr[0] = 0.0  # repro: allow-shm-mutation scratch segment owned exclusively by this worker
-                detach_segments([desc])
-        """)
-        assert not fired(res, "shm-mutation")
-
-
-# ------------------------------------------------------------------ #
-# shm-pairing
-
-
-class TestShmPairing:
-    def test_attach_without_release_fires(self):
-        res = run("""
-            from repro.sharedmem import attach_array
-            def worker(desc):
-                return attach_array(desc).sum()
-        """)
-        (f,) = fired(res, "shm-pairing")
-        assert "never releases" in f.message
-
-    def test_attach_with_release_clean(self):
-        res = run("""
-            from repro.sharedmem import attach_array, detach_segments
-            def worker(desc):
-                try:
-                    return attach_array(desc).sum()
-                finally:
-                    detach_segments([desc])
-        """)
-        assert not fired(res, "shm-pairing")
-
-    def test_codec_definition_clean(self):
-        # to_shared/from_shared *definitions* are the codec itself;
-        # segment ownership lies with the transport calling them.
-        res = run("""
-            class Payload:
-                def to_shared(self):
-                    return put_array(self.data)
-        """)
-        assert not fired(res, "shm-pairing")
-
-    def test_suppression(self):
-        res = run("""
-            from repro.sharedmem import attach_array
-            def peek(desc):
-                return attach_array(desc)[0]  # repro: allow-shm-pairing caller owns segment lifetime
-        """)
-        assert not fired(res, "shm-pairing")
 
 
 # ------------------------------------------------------------------ #

@@ -11,7 +11,6 @@ ALL_KNOBS = (
     "REPRO_CACHE_SIZE",
     "REPRO_TRACE",
     "REPRO_VECTOR",
-    "REPRO_SHM",
     "REPRO_CHECK",
     "REPRO_LEDGER_COMPACT",
     "REPRO_RESILIENCE_TEST_KILL",
@@ -129,11 +128,3 @@ class TestLegacyCallersStillWork:
         monkeypatch.setenv("REPRO_JOBS", "banana")
         with pytest.warns(RuntimeWarning, match="banana"):
             resolve_jobs(0)
-
-    def test_sharedmem_flag(self, monkeypatch):
-        from repro.sharedmem import shm_enabled
-
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert shm_enabled() is False
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_enabled() is True

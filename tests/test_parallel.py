@@ -67,19 +67,9 @@ class TestSweepMap:
         with pytest.raises(ValueError, match="task 3"):
             sweep_map(failing, range(5), jobs=2)
 
-    def test_explicit_chunksize(self):
-        items = list(range(10))
-        assert sweep_map(square, items, jobs=2, chunksize=3) == [
-            x * x for x in items
-        ]
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             sweep_map(square, [1, 2], jobs=-2)
-
-    def test_rejects_bad_chunksize(self):
-        with pytest.raises(ValueError):
-            sweep_map(square, [1, 2], jobs=2, chunksize=0)
 
     def test_consumes_generators_eagerly(self):
         gen = (x for x in range(6))
@@ -269,12 +259,11 @@ class TestBlockDispatch:
     def test_rejects_bad_block_bounds(self):
         with pytest.raises(ValueError, match="max_block_tasks"):
             register_block_runner(
-                tracked_square, tracked_block,
-                min_block_tasks=8, max_block_tasks=4,
+                tracked_square, tracked_block, max_block_tasks=0
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             register_block_runner(
-                tracked_square, tracked_block, min_block_tasks=0
+                tracked_square, tracked_block, max_block_tasks=2.5
             )
 
     def test_small_sweep_never_spawns_a_pool(
@@ -462,39 +451,77 @@ class TestAdaptiveScheduling:
         ]
         assert sum(_BLOCK_CALLS) == len(items)
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param("scalar", id="pickle"),
+            pytest.param("array", id="shm"),
+        ],
+    )
     def test_pooled_block_sweep_bit_identical(
-        self, tracked_runner, monkeypatch, transport
+        self, tracked_runner, monkeypatch, payload
     ):
-        """Both transports return exactly the serial results; the shm
-        leg must leave no /dev/shm segments behind."""
+        """The pool returns exactly the serial results and leaves no
+        /dev/shm segment behind.
+
+        The ``shm`` case sends 64 KiB arrays per task, the payload size
+        at which shared memory used to take over from the pickle pipe;
+        the one pool loop must carry them through the pipe unchanged."""
+        import numpy as np
+
         from repro import sharedmem
 
         import repro.parallel as parallel
 
-        if transport == "shm" and not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-        items = list(range(40))
-        got = sweep_map(
-            tracked_square, items, jobs=2, transport=transport
-        )
-        assert got == [x * x for x in items]
+        if payload == "scalar":
+            items = list(range(40))
+        else:
+            rng = np.random.default_rng(7)
+            items = [rng.standard_normal(8192) for _ in range(40)]
+        got = sweep_map(tracked_square, items, jobs=2)
+        want = [tracked_square(x) for x in items]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
         assert sharedmem.active_segments() == []
 
-    def test_rejects_unknown_transport(self, tracked_runner, monkeypatch):
+
+class TestObservabilityContract:
+    """One observability contract whatever ``jobs`` is: the serial
+    loop reports the same sweep span and counters as the pool loop."""
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_span_and_counters_match_across_jobs(
+        self, tmp_path, monkeypatch, journaled
+    ):
         import repro.parallel as parallel
+        from repro import observability
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
-        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-        with pytest.raises(ValueError, match="transport"):
-            sweep_map(
-                tracked_square, list(range(40)), jobs=2,
-                transport="smoke-signals",
-            )
+        was_enabled = observability.enabled()
+        seen = {}
+        try:
+            for jobs in (1, 2):
+                observability.enable()
+                observability.reset()
+                ckpt = tmp_path / f"j{jobs}.jsonl" if journaled else None
+                items = list(range(-20, 20))  # above the serial cutoff
+                assert sweep_map(abs, items, jobs=jobs, checkpoint=ckpt) == [
+                    abs(x) for x in items
+                ]
+                s = observability.OBS
+                seen[jobs] = (
+                    s.span_totals.get("parallel.sweep", [0])[0],
+                    s.counters.get("parallel.sweeps"),
+                    s.counters.get("parallel.tasks"),
+                )
+        finally:
+            observability.OBS.enabled = was_enabled
+            observability.reset()
+        assert seen[1] == seen[2] == (1, 1.0, 40.0)
 
 
 class TestResolveJobs:

@@ -162,6 +162,20 @@ class TestSweepCheckpoint:
             fh.write('{"type": "task", "key": "k1", "resu')  # torn write
         assert SweepCheckpoint(path).load("mod.fn") == {"k0": 11}
 
+    def test_record_after_torn_tail_starts_a_new_line(self, tmp_path):
+        """Regression: resuming over a journal whose last line was torn
+        mid-write (no trailing newline) must not fuse the first new
+        record into the torn line, where it would never load."""
+        path = tmp_path / "ckpt.jsonl"
+        resilient_sweep_map(_square, range(3), checkpoint=path)
+        with path.open("a") as fh:
+            fh.write('{"type":"task","key":"abc","ind')  # torn write
+        resilient_sweep_map(_square, range(6), checkpoint=path)
+        loaded = SweepCheckpoint(path).load(
+            f"{_square.__module__}.{_square.__qualname__}"
+        )
+        assert [task_key(t) in loaded for t in range(6)] == [True] * 6
+
     def test_corrupt_result_payload_skipped(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         ck = SweepCheckpoint(path)
@@ -496,14 +510,14 @@ class TestSweepMapIntegration:
 
 
 # ---------------------------------------------------------------------
-# Shared-memory transport on the resilient pool path.
+# Large (array) results on the resilient pool path.
 
 
 def _big_result(x):
     import numpy as np
 
     rng = np.random.default_rng(x)
-    return rng.random(9000)  # 72 KB: clears MIN_SHARED_BYTES
+    return rng.random(9000)  # 72 KB per result
 
 
 def _big_result_block(xs):
@@ -511,8 +525,9 @@ def _big_result_block(xs):
 
 
 class TestShmTransport:
-    """Checkpoints journal result *contents*, never segment names, and
-    every dispatch generation's segments are reclaimed."""
+    """Array results crossing the pool's pickle pipe: checkpoints
+    journal result *contents*, never segment names, and no sweep leaves
+    a shared-memory segment behind (no transport creates one)."""
 
     @pytest.fixture
     def big_runner(self):
@@ -530,22 +545,20 @@ class TestShmTransport:
     ):
         import numpy as np
 
-        import repro.resilience as resilience
+        import repro.parallel as parallel
         from repro import sharedmem
 
-        if not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(resilience.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         ckpt = tmp_path / "ckpt.jsonl"
         tasks = list(range(40))  # above the small-sweep serial cutoff
         out = resilient_sweep_map(
-            _big_result, tasks, jobs=2, checkpoint=ckpt, transport="shm"
+            _big_result, tasks, jobs=2, checkpoint=ckpt
         )
         assert sharedmem.active_segments() == []
         text = ckpt.read_text()
         assert sharedmem.SEGMENT_PREFIX not in text
-        # The journal is self-contained: a resume in a world where the
-        # segments are long gone reproduces the results bit-identically.
+        # The journal is self-contained: a resume in a fresh process
+        # reproduces the results bit-identically.
         resumed = resilient_sweep_map(
             _big_result, tasks, jobs=1, checkpoint=ckpt
         )
@@ -553,21 +566,17 @@ class TestShmTransport:
             assert np.array_equal(a, b)
 
     def test_shm_matches_pickle_transport(self, big_runner, monkeypatch):
+        """The pool loop (pickle pipe) returns exactly what the serial
+        loop computes in-process."""
         import numpy as np
 
-        import repro.resilience as resilience
+        import repro.parallel as parallel
         from repro import sharedmem
 
-        if not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(resilience.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         tasks = list(range(40))
-        shm = resilient_sweep_map(
-            _big_result, tasks, jobs=2, transport="shm"
-        )
-        plain = resilient_sweep_map(
-            _big_result, tasks, jobs=2, transport="pickle"
-        )
-        for a, b in zip(shm, plain):
+        pooled = resilient_sweep_map(_big_result, tasks, jobs=2)
+        serial = resilient_sweep_map(_big_result, tasks, jobs=1)
+        for a, b in zip(pooled, serial):
             assert np.array_equal(a, b)
         assert sharedmem.active_segments() == []
