@@ -7,8 +7,12 @@ through the network simulator on a given partition geometry:
    multi-core rank counts);
 2. for every BFS step, the rank exchange pairs are aggregated into a
    node-to-node traffic matrix (intra-node pairs drop out);
-3. each node pair's volume is routed dimension-ordered and the step's
-   time is the bottleneck link load over capacity;
+3. each exchange round's node pairs are routed dimension-ordered in one
+   batch route (:func:`~repro.netsim.batchroute.batch_dimension_ordered_routes`),
+   their volumes summed onto links by one weighted ``np.bincount``, and
+   the round's time is the bottleneck link load over capacity (under
+   ``REPRO_VECTOR=0`` the scalar router runs pair by pair instead, as
+   the bit-identical oracle);
 4. step times add up (CAPS steps are globally synchronized), yielding
    the communication time; computation time comes from the calibrated
    flop rate and is geometry-independent.
@@ -29,6 +33,7 @@ from .._validation import check_positive_float, check_positive_int
 from ..allocation.geometry import PartitionGeometry
 from ..kernels.caps import CapsConfig, caps_computation_time, caps_steps
 from ..kernels.costmodel import LINK_BANDWIDTH_GB_PER_S
+from ..netsim.batchroute import batch_dimension_ordered_routes, vector_enabled
 from ..netsim.embedding import block_embedding
 from ..netsim.network import LinkNetwork
 from ..netsim.routing import dimension_ordered_route
@@ -205,30 +210,29 @@ def run_caps_on_geometry(
         node_order=node_order,
     )
     node_of_rank = emb.node_indices
-    verts = list(torus.vertices())
-
     config = CapsConfig(
         n=matrix_dim, num_ranks=num_ranks, digit_order=digit_order
     )
-    path_cache: dict[tuple[int, int], np.ndarray] = {}
+    batch = vector_enabled()
+    verts = None if batch else list(torus.vertices())
 
     def bottleneck(
         src_n: np.ndarray, dst_n: np.ndarray, counts: np.ndarray,
         gb_per_pair: float,
     ) -> float:
-        load = np.zeros(net.num_links, dtype=float)
-        for s, d, c in zip(src_n, dst_n, counts):
-            key = (int(s), int(d))
-            path = path_cache.get(key)
-            if path is None:
+        if batch:
+            # Bit-identical to the scalar loop below (see
+            # ``LinkNetwork.load_of_flows``).
+            pm = batch_dimension_ordered_routes(torus, src_n, dst_n)
+            load = net.load_of_flows(pm, counts * gb_per_pair)
+        else:
+            load = np.zeros(net.num_links, dtype=float)
+            for s, d, c in zip(src_n, dst_n, counts):
                 path = net.path_to_links(
-                    dimension_ordered_route(
-                        torus, verts[key[0]], verts[key[1]]
-                    )
+                    dimension_ordered_route(torus, verts[s], verts[d])
                 )
-                path_cache[key] = path
-            if len(path):
-                load[path] += float(c) * gb_per_pair
+                if len(path):
+                    load[path] += float(c) * gb_per_pair
         if not load.any():
             return 0.0
         return float((load / net.capacities).max())

@@ -16,7 +16,7 @@ torus, so this module batches the whole computation:
 * :class:`PathMatrix` holds the result in CSR form: one flat
   ``link_ids`` array plus ``offsets``, with per-flow views,
   ``bincount``-ready flattening (:meth:`PathMatrix.flow_ids`), and a
-  ``Sequence[np.ndarray]``-shaped iteration protocol so existing código
+  ``Sequence[np.ndarray]``-shaped iteration protocol so existing code
   that loops over per-flow arrays keeps working.
 
 Link ids come from an analytic layout (:func:`link_layout`) that mirrors

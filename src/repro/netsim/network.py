@@ -202,18 +202,32 @@ class LinkNetwork:
 
         *volumes* defaults to 1 per flow.  Returns an array of length
         :attr:`num_links`.
-        """
-        load = np.zeros(self.num_links, dtype=float)
-        if volumes is None:
-            from .batchroute import PathMatrix
 
-            if isinstance(paths, PathMatrix):
-                # Unweighted loads are pure counts: one bincount over the
-                # flat CSR link-id array (exact — integer accumulation).
+        A :class:`~repro.netsim.batchroute.PathMatrix` is summed with one
+        ``np.bincount`` over its flat link ids.  ``bincount`` adds the
+        weights in input order, which is flow order on every link, so the
+        loads equal the per-flow loop bit for bit — and equal a
+        ``load[path] += volume`` loop too when no path repeats a link,
+        as no dimension-ordered route does.
+        """
+        from .batchroute import PathMatrix
+
+        if isinstance(paths, PathMatrix):
+            if volumes is None:
+                # Unweighted loads are pure counts (exact — integer
+                # accumulation).
                 counts = np.bincount(
                     paths.link_ids, minlength=self.num_links
                 )
                 return counts.astype(float)
+            if not isinstance(volumes, np.ndarray):
+                volumes = list(volumes)
+            weights = np.asarray(volumes, dtype=float)[paths.flow_ids()]
+            return np.bincount(
+                paths.link_ids, weights=weights, minlength=self.num_links
+            ).astype(float, copy=False)
+        load = np.zeros(self.num_links, dtype=float)
+        if volumes is None:
             for p in paths:
                 if len(p):
                     np.add.at(load, p, 1.0)

@@ -11,7 +11,10 @@ This module provides the common machinery:
   transfers between node indices;
 * :func:`simulate_rounds` — total time under the static bottleneck
   model (each round completes when its most loaded link drains), the
-  same model the experiment harnesses use.
+  same model the experiment harnesses use.  Each round is one batch
+  route over its inter-node transfers plus one weighted ``bincount``;
+  under ``REPRO_VECTOR=0`` the per-transfer scalar loop over
+  :meth:`RouteCache.links` runs instead, as the oracle.
 
 Volumes are in the same units as link capacity × time (the experiments
 use GB and GB/s).
@@ -19,12 +22,15 @@ use GB and GB/s).
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..topology.torus import Torus
+from .batchroute import batch_dimension_ordered_routes, vector_enabled
 from .network import LinkNetwork
 from .routing import dimension_ordered_route
 
@@ -49,6 +55,14 @@ class RouteCache:
     @property
     def network(self) -> LinkNetwork:
         return self._net
+
+    @property
+    def torus(self) -> Torus:
+        return self._torus
+
+    @property
+    def tie(self) -> str:
+        return self._tie
 
     @property
     def num_nodes(self) -> int:
@@ -78,7 +92,10 @@ class TransferRound:
     sources, destinations:
         Dense node indices, same length.
     volumes:
-        Per-transfer volume; a scalar applies to every transfer.
+        Per-transfer volume; a scalar applies to every transfer.  Any
+        real number (Python or NumPy scalar) is accepted; volumes must
+        be finite and non-negative, since a negative load could mask the
+        real bottleneck.
     label:
         Optional description (shown by reporting helpers).
     """
@@ -94,21 +111,40 @@ class TransferRound:
                 f"{len(self.sources)} sources but "
                 f"{len(self.destinations)} destinations"
             )
-        if not isinstance(self.volumes, (int, float)):
-            if len(self.volumes) != len(self.sources):
+        if self._scalar_volume:
+            volumes = (self.volumes,)
+        else:
+            volumes = self.volumes
+            if not hasattr(volumes, "__len__"):
+                raise TypeError(
+                    "volumes must be a real number or a sequence of "
+                    f"them, got {type(volumes).__name__}"
+                )
+            if len(volumes) != len(self.sources):
                 raise ValueError(
-                    f"{len(self.volumes)} volumes for "
+                    f"{len(volumes)} volumes for "
                     f"{len(self.sources)} transfers"
                 )
+        for v in volumes:
+            if not isinstance(v, numbers.Real):
+                raise TypeError(f"volume {v!r} is not a real number")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(
+                    f"volumes must be finite and non-negative, got {v!r}"
+                )
+
+    @property
+    def _scalar_volume(self) -> bool:
+        return isinstance(self.volumes, numbers.Real)
 
     def volume_of(self, i: int) -> float:
-        if isinstance(self.volumes, (int, float)):
+        if self._scalar_volume:
             return float(self.volumes)
         return float(self.volumes[i])
 
     @property
     def total_volume(self) -> float:
-        if isinstance(self.volumes, (int, float)):
+        if self._scalar_volume:
             return float(self.volumes) * len(self.sources)
         return float(sum(self.volumes))
 
@@ -123,15 +159,30 @@ def simulate_rounds(
     Intra-node transfers (src == dst) are free.
     """
     net = cache.network
+    batch = vector_enabled()
     per_round: list[float] = []
     for rnd in rounds:
-        load = np.zeros(net.num_links, dtype=float)
-        for i, (s, d) in enumerate(zip(rnd.sources, rnd.destinations)):
-            if s == d:
-                continue
-            path = cache.links(s, d)
-            if len(path):
-                load[path] += rnd.volume_of(i)
+        if batch:
+            src = np.asarray(rnd.sources, dtype=np.int64)
+            dst = np.asarray(rnd.destinations, dtype=np.int64)
+            volumes = np.broadcast_to(
+                np.asarray(rnd.volumes, dtype=float), src.shape
+            )
+            inter = src != dst
+            # Bit-identical to the scalar loop below (see
+            # ``LinkNetwork.load_of_flows``).
+            pm = batch_dimension_ordered_routes(
+                cache.torus, src[inter], dst[inter], tie=cache.tie
+            )
+            load = net.load_of_flows(pm, volumes[inter])
+        else:
+            load = np.zeros(net.num_links, dtype=float)
+            for i, (s, d) in enumerate(zip(rnd.sources, rnd.destinations)):
+                if s == d:
+                    continue
+                path = cache.links(s, d)
+                if len(path):
+                    load[path] += rnd.volume_of(i)
         if load.any():
             per_round.append(float((load / net.capacities).max()))
         else:

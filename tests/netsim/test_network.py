@@ -72,6 +72,33 @@ class TestPaths:
         assert load[p[0]] == 3.0
         assert load.sum() == 6.0
 
+    def test_weighted_path_matrix_load_matches_loop(self):
+        """The bincount path sums in flow order, like the per-flow loop,
+        so the loads agree bit for bit."""
+        from repro.netsim.batchroute import (
+            PathMatrix,
+            batch_dimension_ordered_routes,
+        )
+
+        torus = Torus((6, 5))
+        net = LinkNetwork(torus)
+        n = torus.num_vertices
+        src = np.arange(n, dtype=np.int64)
+        dst = (src * 7 + 3) % n
+        pm = batch_dimension_ordered_routes(torus, src, dst)
+        volumes = [0.1 * (i % 7) + 1.0 / 3.0 for i in range(n)]
+        assert np.array_equal(
+            net.load_of_flows(pm, volumes),
+            net.load_of_flows(list(pm), volumes),
+        )
+        assert np.array_equal(
+            net.load_of_flows(pm, np.asarray(volumes)),
+            net.load_of_flows(list(pm), volumes),
+        )
+        empty = PathMatrix.from_paths([[], []])
+        load = net.load_of_flows(empty, [1.0, 2.0])
+        assert load.dtype == float and not load.any()
+
     def test_bottleneck_time(self):
         net = LinkNetwork(Torus((4,)), link_bandwidth=2.0)
         p = net.path_to_links([(0,), (1,)])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.netsim.collectives import (
@@ -143,3 +146,61 @@ class TestValidation:
         net = LinkNetwork(t1, link_bandwidth=1.0)
         with pytest.raises(ValueError):
             RouteCache(net, t2)
+
+
+class TestTransferRoundVolumes:
+    """Volume validation: any real scalar, never negative or non-finite."""
+
+    @pytest.mark.parametrize(
+        "volume", [np.int64(2), np.float32(1.0), np.float64(0.5), 3, 0.0]
+    )
+    def test_numpy_and_python_scalars_accepted(self, volume):
+        r = TransferRound((0, 1), (1, 0), volume)
+        assert r.volume_of(1) == float(volume)
+        assert r.total_volume == 2 * float(volume)
+
+    def test_numpy_scalar_round_simulates(self, ring8):
+        _, _, cache = ring8
+        total, _ = simulate_rounds(
+            cache, [TransferRound((0,), (1,), np.int64(6))]
+        )
+        assert total == 3.0
+
+    @pytest.mark.parametrize(
+        "volumes",
+        [-1.0, np.float64(-2.0), (1.0, -2.0), (1.0, np.int64(-1))],
+    )
+    def test_negative_rejected(self, volumes):
+        with pytest.raises(ValueError, match="non-negative"):
+            TransferRound((0, 1), (1, 0), volumes)
+
+    @pytest.mark.parametrize(
+        "volumes",
+        [math.nan, math.inf, np.float32(np.inf), (1.0, math.nan)],
+    )
+    def test_non_finite_rejected(self, volumes):
+        with pytest.raises(ValueError, match="finite"):
+            TransferRound((0, 1), (1, 0), volumes)
+
+    def test_non_real_rejected(self):
+        with pytest.raises(TypeError):
+            TransferRound((0, 1), (1, 0), None)
+        with pytest.raises(TypeError):
+            TransferRound((0, 1), (1, 0), (1.0, "2"))
+
+
+class TestBatchRouting:
+    def test_rounds_route_with_the_cache_tie(self):
+        """An exact-half transfer follows the cache's tie-break: parity
+        sends 1 -> 3 down through node 0, positive sends it up through
+        node 2; the same-direction transfer 2 -> 3 only shares a link
+        with the positive route."""
+        torus = Torus((4,))
+        net = LinkNetwork(torus, link_bandwidth=1.0)
+        rnd = TransferRound((1, 2), (3, 3), 1.0)
+        parity, _ = simulate_rounds(RouteCache(net, torus), [rnd])
+        positive, _ = simulate_rounds(
+            RouteCache(net, torus, tie="positive"), [rnd]
+        )
+        assert parity == 1.0
+        assert positive == 2.0
